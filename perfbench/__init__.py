@@ -1,0 +1,6 @@
+"""End-to-end serving benchmark for the HedgeCut reproduction.
+
+Entry point: ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root. See
+``perfbench/README.md`` for the workloads, metrics and layer map.
+"""

@@ -1,0 +1,12 @@
+"""Make ``perfbench`` and the ``repro`` sources importable.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[2]
+for path in (str(_ROOT / "src"), str(_ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
