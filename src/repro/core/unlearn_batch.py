@@ -42,9 +42,9 @@ Verdict identity with the scalar loop is by construction:
 The pack's flat count arrays are a cache of the object-tree statistics.
 The kernel and the scalar fast path (:mod:`repro.core.unlearn_fast`)
 both write through on both sides, so pack mirrors stay perpetually
-fresh along the packed delete paths; only object-path mutations
-(``learn_one``, forced object-path deletes) mark the pack stale, and
-the next packed call refreshes it with one gather pass. Structure --
+fresh along the packed write paths; only object-walk deletes
+(``path="object"``) mark the pack stale, and the next packed call
+refreshes it with one gather pass. Structure --
 slots, routing, fan lists -- never goes stale: a variant switch only
 changes ``active_index``, which the kernel reads live from the node
 objects.
@@ -112,21 +112,6 @@ class UnlearnPack:
         self._emit(roots)
         self._stale = False
         self.refresh()
-        # Deferred-maintenance state (DynFrs-style tag-and-defer): write
-        # paths running with ``maintenance="deferred"`` log the record and
-        # its maintenance-node visits here instead of re-scoring; counts
-        # and mirrors still update per write, so the flush kernel
-        # (:mod:`repro.core.deferred`) replays the per-node visit
-        # trajectories later against current mirrors without a regather.
-        # ``_pending_count`` is the per-node tag column: pending visits
-        # per maintenance node, driving the per-node flush budget.
-        self.pending_values: list[list[int]] = []
-        self.pending_positive: list[bool] = []
-        self.pending_sign: list[int] = []
-        self.pending_mnode: list[int] = []
-        self.pending_rec: list[int] = []
-        self._pending_count: list[int] = [0] * len(self.mnodes)
-        self._stats_dirty = False
 
     # ------------------------------------------------------------------ #
     # emission
@@ -290,9 +275,6 @@ class UnlearnPack:
             (leaf.n_plus for leaf in leaves), dtype=np.int64, count=n_leaves
         )
         self._stale = False
-        # The gather reads the live objects, which deferred scalar writes
-        # keep authoritative -- one refresh clears both staleness kinds.
-        self._stats_dirty = False
 
     def mark_stale(self) -> None:
         """Flag the count mirrors as out of date (structure stays valid)."""
@@ -303,80 +285,13 @@ class UnlearnPack:
         return self._stale
 
     def ensure_fresh(self) -> None:
+        """Refresh the count mirrors if an object-path mutation staled them.
+
+        Readers of the flat count arrays (the batch kernel's validation
+        and re-scoring replay) call this; the scalar hot path never does.
+        """
         if self._stale:
             self.refresh()
-
-    # ------------------------------------------------------------------ #
-    # deferred-maintenance pending log
-    # ------------------------------------------------------------------ #
-
-    def ensure_stats_current(self) -> None:
-        """Refresh the count mirrors if either staleness flag is set.
-
-        ``_stale`` covers object-path mutations; ``_stats_dirty`` is kept
-        as a hook for writers that cannot maintain the mirrors inline
-        (every current scalar path writes them through, deferred or not,
-        precisely so this stays a no-op on the flush path). Readers of
-        the flat count arrays (the batch kernel's validation, the flush
-        kernel's trajectory replay) call this; the scalar hot path never
-        does.
-        """
-        if self._stale or self._stats_dirty:
-            self.refresh()
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending_mnode)
-
-    @property
-    def n_pending_nodes(self) -> int:
-        """Number of currently tagged (pending) maintenance nodes."""
-        return sum(1 for count in self._pending_count if count)
-
-    @property
-    def n_pending_visits(self) -> int:
-        return len(self.pending_mnode)
-
-    def note_deferred(
-        self, values: list[int], positive: bool, sign: int, mnode_ids: list[int]
-    ) -> None:
-        """Append one deferred operation's visits to the pending log.
-
-        ``sign`` is ``-1`` for a deletion and ``+1`` for an insertion; the
-        flush kernel replays the signed deltas in arrival order, which is
-        exactly the order the eager path would have re-scored in.
-        """
-        rec = len(self.pending_values)
-        self.pending_values.append(values)
-        self.pending_positive.append(positive)
-        self.pending_sign.append(sign)
-        self.pending_mnode.extend(mnode_ids)
-        self.pending_rec.extend([rec] * len(mnode_ids))
-        counts = self._pending_count
-        for mnode_id in mnode_ids:
-            counts[mnode_id] += 1
-
-    def truncate_pending(self, n_records: int, n_visits: int) -> None:
-        """Roll the pending log back to a recorded watermark.
-
-        Used by the small-batch deferred path to discard the visits of
-        records undone by a mid-batch failure.
-        """
-        for mnode_id in self.pending_mnode[n_visits:]:
-            self._pending_count[mnode_id] -= 1
-        del self.pending_mnode[n_visits:]
-        del self.pending_rec[n_visits:]
-        del self.pending_values[n_records:]
-        del self.pending_positive[n_records:]
-        del self.pending_sign[n_records:]
-
-    def clear_pending(self) -> None:
-        self.pending_values = []
-        self.pending_positive = []
-        self.pending_sign = []
-        self.pending_mnode = []
-        self.pending_rec = []
-        self._pending_count = [0] * len(self.mnodes)
 
     @property
     def n_stats(self) -> int:
@@ -400,8 +315,6 @@ def unlearn_batch_packed(
     values: np.ndarray,
     labels: np.ndarray,
     leaf_sink: LeafSink | None = None,
-    deferred: bool = False,
-    maintenance_budget: int | None = None,
 ) -> BatchUnlearnResult:
     """Remove a whole batch of records from the packed ensemble at once.
 
@@ -411,13 +324,6 @@ def unlearn_batch_packed(
         labels: ``(n_records,)`` 0/1 labels.
         leaf_sink: invoked once per *distinct* mutated leaf after its
             decrement (the inference pack's O(1) write-through).
-        deferred: tag-and-defer mode -- counts and leaves update exactly
-            as in eager mode, but maintenance re-scoring (phase 4) is
-            skipped and the visits are appended to the pack's pending log
-            for a later :func:`~repro.core.deferred.flush_deferred`.
-        maintenance_budget: in deferred mode, nodes whose pending-visit
-            count reaches this bound are flushed immediately (their
-            switches fold into the returned report).
 
     Returns:
         The aggregated report and the tree indices needing a repack.
@@ -428,7 +334,7 @@ def unlearn_batch_packed(
             atomic, strictly stronger than the scalar loop's per-record
             atomicity).
     """
-    pack.ensure_stats_current()
+    pack.ensure_fresh()
     values = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
     if values.ndim != 2:
         raise ValueError(
@@ -593,25 +499,7 @@ def unlearn_batch_packed(
     visit_mnodes = _concat(visit_mnode_chunks, np.intp)
     visit_recs = _concat(visit_rec_chunks, np.intp)
     maintenance_visits = int(visit_mnodes.shape[0])
-    if maintenance_visits and deferred:
-        # Tag-and-defer: log the visits (in record order, which is the
-        # order the eager path re-scores in) instead of replaying the
-        # trajectories now. The count write-back below still runs, so the
-        # mirrors stay fresh along this path.
-        order = np.argsort(visit_recs, kind="stable")
-        rec_base = len(pack.pending_values)
-        pack.pending_values.extend(values.tolist())
-        pack.pending_positive.extend(positive.tolist())
-        pack.pending_sign.extend([-1] * n_records)
-        deferred_mnodes = visit_mnodes[order].tolist()
-        pack.pending_mnode.extend(deferred_mnodes)
-        pack.pending_rec.extend(
-            (visit_recs[order] + rec_base).tolist()
-        )
-        counts = pack._pending_count
-        for mnode_id in deferred_mnodes:
-            counts[mnode_id] += 1
-    if maintenance_visits and not deferred:
+    if maintenance_visits:
         # Sort by (node, record): the secondary key restores batch order,
         # which is the order the scalar loop re-scores in.
         order = np.lexsort((visit_recs, visit_mnodes))
@@ -746,23 +634,6 @@ def unlearn_batch_packed(
         for index, variant in enumerate(node.variants):
             variant.gain = float(gains[index])
         node.active_index = final
-
-    if deferred and maintenance_budget is not None:
-        tripped = [
-            mnode_id
-            for mnode_id in set(pack.pending_mnode)
-            if pack._pending_count[mnode_id] >= maintenance_budget
-        ]
-        if tripped:
-            from repro.core.deferred import flush_deferred
-
-            flushed = flush_deferred(pack, node_ids=tripped)
-            variant_switches += flushed.variant_switches
-            switched_trees.update(flushed.switched_trees)
-            switched_nodes.extend(
-                node for node in flushed.switched_nodes
-                if not any(node is seen for seen in switched_nodes)
-            )
 
     report = UnlearningReport(
         leaves_updated=int(leaf_rows.shape[0]),

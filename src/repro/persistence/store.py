@@ -116,14 +116,6 @@ class ModelStore:
                 every appended deletion has been applied, as the serving
                 engine guarantees for its primary replica).
         """
-        # WAL ordering under deferred maintenance: the snapshot encoder
-        # stores gains and active variants but knows nothing of the pending
-        # tag log, so a snapshot cut mid-deferral must flush first. Every
-        # pending operation is (by the WAL rule) already logged with
-        # seq <= wal_seq, so the flushed state is exactly what replaying
-        # the log up to wal_seq eagerly would produce -- the snapshot
-        # stays a correct replay prefix.
-        model.flush_maintenance()
         if wal_seq is None:
             wal_seq = self.wal.last_seq
         path = self.snapshot_dir / f"snapshot-{wal_seq:012d}.npz"
@@ -213,12 +205,6 @@ class ModelStore:
                     # after it was logged; replay reproduces that outcome.
                     n_failures += 1
                 applied_seq = frame.seq
-        # Replay runs eagerly (a recovered model defaults to eager
-        # maintenance), and a live deferred model equals its eager twin
-        # only after a flush -- so recovery's contract is "bit-identical
-        # to the live *flushed* model". The flush here is a no-op today
-        # but pins the contract if replay ever runs deferred.
-        model.flush_maintenance()
         return RecoveredModel(
             model=model,
             snapshot=info,

@@ -157,8 +157,8 @@ class InsertionRecord:
     """One durable incremental-learning (insertion) request.
 
     Insertions share the deletion log: a mixed insert/delete stream must
-    replay in its exact arrival order, because the deferred-maintenance
-    flush is order-sensitive in its switch accounting and the statistic
+    replay in its exact arrival order, because maintenance-node re-scoring
+    is order-sensitive in its switch accounting and the statistic
     trajectories interleave. The frame carries ``"kind": "insert"`` so
     pre-insertion readers of the payload format fail loudly rather than
     replaying an insertion as a deletion.
@@ -360,8 +360,8 @@ class WriteAheadLog:
 
         Insertions and deletions draw from the same sequence space and
         land in the same segments, so replay reconstructs the exact
-        arrival interleaving -- which is what makes deferred-maintenance
-        recovery bit-identical to the live flushed model.
+        arrival interleaving -- which is what makes recovery of a mixed
+        insert/delete tail bit-identical to the live model.
         """
         entry = InsertionRecord(
             seq=self._next_seq,

@@ -340,3 +340,53 @@ class TestTopdKnob:
         assert np.array_equal(
             recovered.model.predict_proba_batch(test), model.predict_proba_batch(test)
         )
+
+
+class TestLearnOneWriteThrough:
+    """Insertions take the same packed write-through path as deletions."""
+
+    @staticmethod
+    def _fit(dataset):
+        model = HedgeCutClassifier(n_trees=4, epsilon=0.05, seed=5).fit(dataset)
+        assert model.node_census().n_maintenance_nodes > 0
+        return model
+
+    @staticmethod
+    def _probe(dataset):
+        return dataset.take(np.arange(min(120, dataset.n_rows)))
+
+    def test_insertion_is_o1_on_packed_model(self, random_dataset):
+        """Regression: learn_one must not invalidate the unlearn pack."""
+        model = self._fit(random_dataset)
+        pack_before = model.packed.unlearn_pack()
+        assert not pack_before._stale
+        model.learn_one(random_dataset.record(250))
+        pack_after = model.packed._unlearn_pack
+        assert pack_after is pack_before  # no rebuild scheduled
+        assert not pack_after._stale  # and no mark-stale write-through
+
+    def test_insertion_matches_object_walk(self, random_dataset):
+        packed_model = self._fit(random_dataset)
+        _ = packed_model.packed  # insertions take the packed write path
+        object_model = copy.deepcopy(packed_model)
+        object_model.invalidate_compiled()
+        object_model._packed = None
+        record = random_dataset.record(250)
+        packed_report = packed_model.learn_one(record)
+        object_report = object_model.learn_one(record)
+        assert packed_report.leaves_updated == object_report.leaves_updated
+        assert packed_report.variant_switches == object_report.variant_switches
+        probe = self._probe(random_dataset)
+        np.testing.assert_array_equal(
+            packed_model.predict_proba_batch(probe),
+            object_model.predict_proba_batch(probe),
+        )
+
+    def test_insert_then_delete_roundtrip_restores_stats(self, random_dataset):
+        model = self._fit(random_dataset)
+        probe = self._probe(random_dataset)
+        baseline = model.predict_proba_batch(probe)
+        record = random_dataset.record(250)
+        model.learn_one(record)
+        model.unlearn(record, allow_budget_overrun=True)
+        np.testing.assert_array_equal(model.predict_proba_batch(probe), baseline)

@@ -5,7 +5,8 @@ durably logged deletions and then crashes must recover -- latest snapshot
 plus WAL-tail replay -- to a state whose predictions are identical to an
 uninterrupted model that applied the same deletion sequence. The model
 under test contains maintenance nodes, so recovery also exercises variant
-statistics and active-variant switches.
+statistics and active-variant switches. Tails that interleave insertions
+with deletions must replay in arrival order to the same state.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import HedgeCutError
 from repro.persistence.store import ModelStore
+from repro.persistence.wal import DeletionRecord, InsertionRecord, WriteAheadLog
 
 from tests.conftest import make_random_dataset
 
@@ -255,6 +257,75 @@ class TestBatchFrameRecovery:
         assert np.array_equal(
             recovered.predict_batch(dataset), uninterrupted.predict_batch(dataset)
         )
+
+
+def _mixed_ops(dataset, k):
+    """The first ``k`` of a fixed mixed insert/delete schedule."""
+    ops = []
+    for step in range(k):
+        if step % 3 == 2:
+            ops.append(("insert", dataset.record(200 + step)))
+        else:
+            ops.append(("delete", dataset.record(step)))
+    return ops
+
+
+class TestMixedTailRecovery:
+    @pytest.mark.parametrize("k", [3, 10, 24])
+    def test_recovery_equals_live_model(self, tmp_path, noisy_setup, k):
+        """A WAL tail of inserts and deletes replays to the live state."""
+        model, dataset = noisy_setup
+        live = copy.deepcopy(model)
+        _ = live.packed  # serve-side writes take the packed path
+        with ModelStore(tmp_path / "store") as store:
+            store.save_snapshot(live, wal_seq=0)
+            for kind, record in _mixed_ops(dataset, k):
+                if kind == "insert":
+                    store.wal.append_insertion(record, request_id="ins")
+                    live.learn_one(record)
+                else:
+                    store.wal.append(record, request_id="del", allow_budget_overrun=True)
+                    live.unlearn(record, allow_budget_overrun=True)
+            # Crash: no final snapshot.
+
+        recovered = ModelStore(tmp_path / "store").recover()
+        assert recovered.n_replayed == k
+        assert recovered.n_replay_failures == 0
+        np.testing.assert_array_equal(
+            recovered.model.predict_proba_batch(dataset),
+            live.predict_proba_batch(dataset),
+        )
+
+
+class TestInsertionFrames:
+    def test_interleaving_survives_in_shared_sequence(self, tmp_path, noisy_setup):
+        _, dataset = noisy_setup
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(dataset.record(0), request_id="d0")
+        wal.append_insertion(dataset.record(1), request_id="i0")
+        wal.append(dataset.record(2), request_id="d1")
+        wal.close()
+
+        frames = list(WriteAheadLog(tmp_path / "wal").frames())
+        assert [type(frame) for frame in frames] == [
+            DeletionRecord,
+            InsertionRecord,
+            DeletionRecord,
+        ]
+        assert [frame.seq for frame in frames] == [1, 2, 3]
+        insert = frames[1]
+        assert insert.to_record().values == dataset.record(1).values
+        assert insert.to_record().label == dataset.record(1).label
+
+    def test_records_iterator_stays_deletions_only(self, tmp_path, noisy_setup):
+        _, dataset = noisy_setup
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(dataset.record(0), request_id="d0")
+        wal.append_insertion(dataset.record(1), request_id="i0")
+        wal.close()
+        records = list(WriteAheadLog(tmp_path / "wal").records())
+        assert len(records) == 1
+        assert isinstance(records[0], DeletionRecord)
 
 
 class TestSnapshotHousekeeping:

@@ -2,10 +2,10 @@
 
 Two scenarios the reserved-span layout must survive:
 
-* a deferred-maintenance flush splices a subtree and span-publishes it
-  while a shared-memory reader is mid-traversal -- the reader must retry
-  under the seqlock (observed via :class:`ReaderStats`) and land on a
-  validated, consistent read;
+* an eager deletion switches a variant, splices the subtree, and the
+  span publish runs while a shared-memory reader is mid-traversal -- the
+  reader must retry under the seqlock and land on a validated, consistent
+  read;
 * crash recovery replays a WAL tail whose operations include a variant
   switch, so the recovered pack is a *spliced* pack -- it must be
   bit-identical (all seven flat arrays) to an eager from-scratch rebuild.
@@ -51,34 +51,34 @@ def _assert_packs_bit_identical(spliced: PackedEnsemble, fresh: PackedEnsemble):
     assert np.array_equal(a.leaf_n_plus, b.leaf_n_plus)
 
 
-def _unlearn_until_flush_splices(model, dataset, max_rows=120):
-    """Deferred-unlearn rows until a flush actually switches a variant."""
-    row = 0
-    while row < max_rows:
-        stop = min(row + 20, max_rows)
-        while row < stop:
-            model.unlearn(dataset.record(row), allow_budget_overrun=True)
-            row += 1
-        report = model.flush_maintenance()
-        if report.switched_nodes:
+def _unlearn_until_splice(model, dataset, max_rows=120):
+    """Unlearn rows until one deletion switches a variant (and splices)."""
+    for row in range(max_rows):
+        report = model.unlearn(dataset.record(row), allow_budget_overrun=True)
+        if report.variant_switches:
             return report
     pytest.skip("campaign produced no variant switch to splice")
 
 
 class TestFlushSpliceUnderConcurrentReads:
     def test_reader_mid_traversal_retries_and_validates(self, dataset, tmp_path):
-        model = HedgeCutClassifier(
-            n_trees=4, epsilon=0.05, seed=5, maintenance="deferred"
-        ).fit(dataset)
+        model = HedgeCutClassifier(n_trees=4, epsilon=0.05, seed=5).fit(dataset)
         packed = model.packed  # force the packed write path
 
         segment_name = f"hc-stress-{tmp_path.name[-8:]}"
         matrix = dataset.feature_matrix()[:16]
-        attempting = threading.Event()
+        # The reader thread may only start its read once the fault hook
+        # releases it, and the hook runs while the seqlock is odd: the read
+        # cannot complete against the pre-splice state however the threads
+        # are scheduled.
+        release = threading.Event()
+        started = threading.Event()
         result: dict = {}
 
         def _reader_main(reader):
-            attempting.set()
+            if not release.wait(timeout=10.0):
+                return
+            started.set()
             result["probas"] = reader.predict_proba_rows(matrix)
 
         def _fault_hook():
@@ -95,19 +95,21 @@ class TestFlushSpliceUnderConcurrentReads:
                     probe.predict_proba_rows(matrix)
                 except TornReadError:
                     result["torn_window_observed"] = True
-            # Let the concurrent reader thread into the window too before
-            # the seqlock seals (its read then completes post-commit).
-            assert attempting.wait(timeout=5.0)
+            # Release the concurrent reader into the window and hold the
+            # seqlock odd a little longer, so it spins under the seqlock
+            # and completes only after the commit seals.
+            release.set()
+            assert started.wait(timeout=5.0)
             time.sleep(0.05)
 
         with SharedPackedEnsemble(segment_name, packed) as shared:
             with SharedEnsembleReader(
                 segment_name, max_retries=10_000, retry_wait_s=1e-4
             ) as reader:
-                # Splice while the segment is live: the flush rewrites the
-                # node's reserved span in the writer's pack and leaves the
-                # dirty ranges for the next publish to mirror.
-                report = _unlearn_until_flush_splices(model, dataset)
+                # Splice while the segment is live: the switching deletion
+                # rewrites the node's reserved span in the writer's pack and
+                # leaves the dirty ranges for the next publish to mirror.
+                report = _unlearn_until_splice(model, dataset)
                 assert packed.has_dirty_spans
                 thread = threading.Thread(target=_reader_main, args=(reader,))
                 shm_module._PUBLISH_FAULT_HOOK = _fault_hook
@@ -118,6 +120,7 @@ class TestFlushSpliceUnderConcurrentReads:
                     shm_module._PUBLISH_FAULT_HOOK = None
                     thread.join(timeout=10.0)
                 assert not thread.is_alive()
+                assert "probas" in result, "the reader was never released"
                 assert kind == "spans"
                 assert shared.generation == 0  # no new segments cut
                 assert result.get("torn_window_observed"), (
