@@ -6,7 +6,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving profile-unlearn lint
+.PHONY: test test-all perfbench-test bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving profile-unlearn lint
 
 ## Run the fast unit/property/integration suite (slow-marked tests are
 ## excluded via addopts in pyproject.toml).
@@ -16,6 +16,10 @@ test:
 ## Run everything, including the slow full-registry equivalence matrix.
 test-all:
 	$(PYTHON) -m pytest tests/ -q -m "slow or not slow"
+
+## Unit tests of the end-to-end serving benchmark harness (perfbench/).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## One fast pass over every paper benchmark; formatted tables land in
 ## benchmarks/results.txt.
@@ -58,4 +62,4 @@ bench-serving:
 ## Static sanity: byte-compile everything (no third-party linter is
 ## vendored in the image).
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks
+	$(PYTHON) -m compileall -q src tests benchmarks perfbench

@@ -17,7 +17,7 @@ encodes them with the training-time quantile proposals.
 from repro import HedgeCutClassifier
 from repro.datasets.registry import load_dataset_with_preprocessor, load_raw
 from repro.evaluation import train_test_split
-from repro.serving import RequestMix, ServingSimulator
+from repro.serving import RequestMix, ServingSimulator, uniform_workload
 
 
 def main() -> None:
@@ -56,10 +56,14 @@ def main() -> None:
 
     # ---- mixed serving workload ----------------------------------------
     pool = [train.record(row) for row in range(model.remaining_deletion_budget)]
-    simulator = ServingSimulator(
-        model, test, unlearn_pool=pool, seed=11, record_latencies=True
+    workload = uniform_workload(
+        RequestMix(n_requests=2000, unlearn_fraction=0.001),
+        n_prediction_rows=test.n_rows,
+        n_deletable=len(pool),
+        seed=11,
     )
-    report = simulator.run(RequestMix(n_requests=2000, unlearn_fraction=0.001))
+    simulator = ServingSimulator(model, test, unlearn_pool=pool, record_latencies=True)
+    report = simulator.run(workload)
 
     print(
         f"served {report.n_predictions} predictions and "

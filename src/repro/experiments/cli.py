@@ -248,11 +248,14 @@ def _run_recover(store_path: str) -> str:
 def _run_serve(config: ExperimentConfig, args) -> str:
     """Drive a serving deployment with a mixed predict/unlearn workload.
 
-    ``--serving inprocess`` runs the GIL-bound replicated engine,
-    ``--serving shm`` the shared-memory reader fleet (``--readers``
+    ``--serving inprocess`` serves from the one in-process model,
+    ``--serving shm`` from the shared-memory reader fleet (``--readers``
     processes attached to one packed ensemble). Identical seeds produce
     identical request schedules, so the two modes are directly comparable.
+    Deletions past the model's deletion budget are skipped and counted,
+    never applied as budget overruns.
     """
+    import itertools
     import tempfile
 
     from repro.core.ensemble import HedgeCutClassifier
@@ -260,7 +263,8 @@ def _run_serve(config: ExperimentConfig, args) -> str:
     from repro.persistence.store import ModelStore
     from repro.serving.engine import ReplicatedServingEngine
     from repro.serving.shm import ShmReplicatedServingEngine
-    from repro.serving.simulator import EngineServingSimulator, RequestMix
+    from repro.serving.simulator import ServingSimulator
+    from repro.serving.workload import RequestMix, uniform_workload
 
     name = config.datasets[0]
     dataset = load_dataset(name, n_rows=config.rows_for(name), seed=config.seed)
@@ -272,7 +276,13 @@ def _run_serve(config: ExperimentConfig, args) -> str:
         topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
-    unlearn_pool = [dataset.record(row) for row in range(args.requests)]
+    workload = uniform_workload(
+        RequestMix(args.requests, args.unlearn_fraction),
+        n_prediction_rows=dataset.n_rows,
+        n_deletable=dataset.n_rows,
+        seed=config.seed,
+    )
+    unlearn_pool = [dataset.record(row) for row in range(workload.n_deletions)]
 
     with tempfile.TemporaryDirectory(prefix="hedgecut-serve-") as tmp:
         store = ModelStore(f"{tmp}/store")
@@ -281,37 +291,41 @@ def _run_serve(config: ExperimentConfig, args) -> str:
                 model, store, n_readers=args.readers,
                 consistency=args.consistency,
             )
+            deployment = f"{args.readers} readers, {args.consistency}"
         else:
             engine = ReplicatedServingEngine(
-                model, store, n_replicas=args.readers,
-                consistency=args.consistency,
+                model, store, consistency=args.consistency
             )
+            deployment = args.consistency
         with engine:
-            simulator = EngineServingSimulator(
+            request_ids = itertools.count(1)
+            simulator = ServingSimulator(
                 engine,
                 prediction_pool=dataset,
                 unlearn_pool=unlearn_pool,
-                seed=config.seed,
+                unlearn=lambda record: engine.unlearn(
+                    f"sim-{next(request_ids)}", record
+                ),
+                remaining_budget=lambda _record: model.remaining_deletion_budget,
                 record_latencies=True,
                 batch_size=args.batch,
             )
-            report = simulator.run(
-                RequestMix(
-                    n_requests=args.requests,
-                    unlearn_fraction=args.unlearn_fraction,
-                )
-            )
+            report = simulator.run(workload)
             lines = [
-                f"serving mode     {args.serving} "
-                f"({args.readers} {'readers' if args.serving == 'shm' else 'replicas'}, "
-                f"{args.consistency})",
+                f"serving mode     {args.serving} ({deployment})",
                 f"  dataset          {name} ({dataset.n_rows} rows)",
                 f"  requests         {args.requests} "
                 f"({report.n_unlearnings} unlearnings, batch {args.batch})",
+                f"  budget-skipped   {report.n_budget_skipped} deletions "
+                f"(deletion budget {model.deletion_budget})",
                 f"  throughput       {report.rows_per_second:,.0f} predictions/s "
                 f"({report.n_batches} dispatches)",
-                f"  batch p50        {report.latency_percentile(50, 'batch'):,.0f} us",
             ]
+            if report.batch_latencies_us:
+                lines.append(
+                    f"  batch p50        "
+                    f"{report.latency_percentile(50, 'batch'):,.0f} us"
+                )
             if report.unlearning_latencies_us:
                 lines.append(
                     f"  unlearn p50      "
@@ -394,15 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--serving",
         choices=["inprocess", "shm"],
         default="inprocess",
-        help="deployment mode for the serve command: 'inprocess' replicates "
-        "the model inside one process, 'shm' serves one shared-memory "
+        help="deployment mode for the serve command: 'inprocess' serves the "
+        "one model inside this process, 'shm' serves one shared-memory "
         "packed ensemble from --readers reader processes",
     )
     parser.add_argument(
         "--readers",
         type=int,
         default=2,
-        help="reader processes (shm) or replicas (inprocess) for serve",
+        help="reader processes for serve --serving shm",
     )
     parser.add_argument(
         "--consistency",

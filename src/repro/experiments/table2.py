@@ -17,7 +17,8 @@ from repro.evaluation.stats import RunStats, same_distribution, summarize
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import make_hedgecut, prepare
-from repro.serving.simulator import RequestMix, ServingSimulator
+from repro.serving.simulator import ServingSimulator
+from repro.serving.workload import RequestMix, Workload, uniform_workload
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,18 @@ def run(
         model.fit(data.train)
 
         rng = np.random.default_rng(seed)
+        n_test = data.test.n_rows
+
+        def pure_workload(size: int, run_seed: int) -> Workload:
+            return uniform_workload(RequestMix(size), n_test, 0, seed=run_seed)
+
         # Warm up the deployed model: the compiled flat-array trees (and
         # the packed ensemble, in batched mode) are built lazily on first
         # use, and the first workload would otherwise pay that cost (which
         # is exactly the kind of asymmetry the KS test then flags as a
         # spurious throughput difference).
-        warmup = ServingSimulator(model, data.test, seed=seed, batch_size=batch_size)
-        warmup.run(RequestMix(n_requests=min(200, n_requests)))
+        warmup = ServingSimulator(model, data.test, batch_size=batch_size)
+        warmup.run(pure_workload(min(200, n_requests), seed))
 
         pure: list[float] = []
         mixed: list[float] = []
@@ -107,32 +113,25 @@ def run(
         # Alternate the two workload kinds so that slow environmental drift
         # (CPU frequency, cache state) averages out of the comparison.
         for repeat in range(config.repeats):
-            simulator = ServingSimulator(
-                model, data.test, unlearn_pool=None, seed=seed + repeat
-            )
-            report = simulator.run(RequestMix(n_requests=n_requests))
+            simulator = ServingSimulator(model, data.test)
+            report = simulator.run(pure_workload(n_requests, seed + repeat))
             pure.append(report.requests_per_second)
 
             n_deletions = max(1, int(round(n_requests * unlearn_fraction)))
             chosen = rng.choice(data.train.n_rows, size=n_deletions, replace=False)
             pool = [data.train.record(int(row)) for row in chosen]
-            simulator = ServingSimulator(
-                model, data.test, unlearn_pool=pool, seed=seed + 100 + repeat
+            workload = uniform_workload(
+                RequestMix(n_requests, unlearn_fraction),
+                n_test,
+                len(pool),
+                seed=seed + 100 + repeat,
             )
-            report = simulator.run(
-                RequestMix(n_requests=n_requests, unlearn_fraction=unlearn_fraction)
-            )
+            report = ServingSimulator(model, data.test, unlearn_pool=pool).run(workload)
             mixed.append(report.requests_per_second)
 
             if batch_size is not None:
-                simulator = ServingSimulator(
-                    model,
-                    data.test,
-                    unlearn_pool=None,
-                    seed=seed + 200 + repeat,
-                    batch_size=batch_size,
-                )
-                report = simulator.run(RequestMix(n_requests=n_requests))
+                simulator = ServingSimulator(model, data.test, batch_size=batch_size)
+                report = simulator.run(pure_workload(n_requests, seed + 200 + repeat))
                 batched.append(report.rows_per_second)
 
         indistinguishable, p_value = same_distribution(pure, mixed)

@@ -114,7 +114,7 @@ class ModelStore:
             wal_seq: the last log sequence number already applied to
                 ``model``; defaults to the log's current tail (correct when
                 every appended deletion has been applied, as the serving
-                engine guarantees for its primary replica).
+                engines guarantee for their primary model).
         """
         if wal_seq is None:
             wal_seq = self.wal.last_seq

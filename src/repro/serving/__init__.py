@@ -3,23 +3,23 @@
 The paper's motivation is that unlearning must happen *inside* the serving
 system, at latencies comparable to prediction requests, instead of through
 heavyweight retraining pipelines. This package provides that serving
-system in three tiers:
+system:
 
-* :class:`ServingSimulator` -- a single-node request loop mixing online
-  prediction and GDPR deletion requests, measuring throughput and latency
-  percentiles (drives the Table 2 experiment).
-* :class:`ReplicatedServingEngine` -- the durable, multi-replica engine:
-  predictions fan out round-robin over replica workers while deletions are
-  sequenced through a write-ahead log (:mod:`repro.persistence`) before
-  being applied, with per-replica staleness tracking, configurable read
-  consistency and crash recovery from snapshot + log replay.
-* :class:`MicroBatcher` -- the micro-batching front end of the engine:
+* :class:`ServingSimulator` -- the one request loop: replays a
+  :mod:`repro.serving.workload` schedule (the uniform Table 2 mix of
+  :func:`uniform_workload`, or deletion storms) against a bare model or a
+  serving engine, measuring throughput and latency percentiles.
+* :class:`ReplicatedServingEngine` -- the durable in-process engine: one
+  model answers predictions while deletions are sequenced through a
+  write-ahead log (:mod:`repro.persistence`) before being applied, with
+  crash recovery from snapshot + log replay.
+* :class:`MicroBatcher` -- the micro-batching front end of an engine:
   collects prediction requests up to a size/delay bound and answers each
-  batch with a single packed-kernel call on the next replica.
-* :class:`ShmReplicatedServingEngine` -- the multi-process successor of
-  the replicated engine (:mod:`repro.serving.shm`): one packed ensemble
-  in shared memory, ``N`` reader processes attached zero-copy, deletions
-  published under a seqlock so readers never block the writer.
+  batch with a single packed-kernel call, and group-commits deletions.
+* :class:`ShmReplicatedServingEngine` -- the multi-reader engine
+  (:mod:`repro.serving.shm`): one packed ensemble in shared memory, ``N``
+  reader processes attached zero-copy, deletions published under a
+  seqlock so readers never block the writer.
 * :class:`RetrainingPipeline` -- the heavyweight retrain-and-redeploy
   contrast of Section 1, with staged deployment, canary evaluation and
   rollback over a :class:`ModelRegistry`.
@@ -46,12 +46,8 @@ from repro.serving.shm import (
     ShmReplicatedServingEngine,
     TornReadError,
 )
-from repro.serving.simulator import (
-    EngineServingSimulator,
-    RequestMix,
-    ServingSimulator,
-    ThroughputReport,
-)
+from repro.serving.simulator import ServingSimulator, ThroughputReport
+from repro.serving.workload import RequestMix, uniform_workload
 
 __all__ = [
     "AuditedUnlearner",
@@ -62,7 +58,6 @@ __all__ = [
     "MicroBatchConfig",
     "MicroBatchStats",
     "PendingPrediction",
-    "EngineServingSimulator",
     "RequestMix",
     "ServingSimulator",
     "SharedEnsembleReader",
@@ -71,6 +66,7 @@ __all__ = [
     "ReaderStats",
     "TornReadError",
     "ThroughputReport",
+    "uniform_workload",
     "RetrainingPipeline",
     "ModelRegistry",
     "PipelineCosts",

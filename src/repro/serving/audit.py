@@ -201,7 +201,7 @@ class AuditedUnlearner:
                 shard_id=self.shard_id,
             ).first_seq
         # Force the packed form so the apply is the whole-batch-atomic
-        # kernel: live outcome == WAL replay outcome == replica catch-up.
+        # kernel: live outcome == WAL replay outcome.
         _ = self.model.packed
         try:
             report = self.model.unlearn_batch(

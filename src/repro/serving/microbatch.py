@@ -1,4 +1,4 @@
-"""Micro-batching front end for the replicated serving engine.
+"""Micro-batching front end for the serving engines.
 
 Single-record prediction pays a Python-level tree walk per request; the
 packed kernel (:mod:`repro.core.packed`) amortises that cost across a
@@ -6,8 +6,7 @@ whole batch, but online traffic arrives one request at a time. The
 :class:`MicroBatcher` bridges the two: it collects incoming prediction
 requests until either ``max_batch`` of them are queued or the oldest one
 has waited ``max_delay_ms``, then dispatches the whole batch as **one**
-packed-kernel call on the next replica (round-robin, honouring the
-engine's read-consistency mode).
+packed-kernel call on the engine.
 
 Deletion requests flush the queue first, so a prediction submitted before
 an ``unlearn`` never observes the deletion -- the front end preserves the
@@ -23,8 +22,11 @@ interleaving a caller observes equals submission order.
 
 The batcher is synchronous (matching the rest of the serving layer): a
 caller that needs an answer before the batch fills calls
-:meth:`PendingPrediction.result`, which forces a flush. The wall clock is
-injectable so tests can drive the delay window deterministically.
+:meth:`PendingPrediction.result`, which forces a flush. A dispatch that
+raises fails its whole batch: the call that triggered it re-raises, and
+every handle of the batch re-raises the same exception from ``result()``.
+The wall clock is injectable so tests can drive the delay window
+deterministically.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.dataprep.dataset import Record
-from repro.serving.audit import AuditEntry
 from repro.serving.engine import ReplicatedServingEngine
 
 #: Flush triggers, recorded per batch in :class:`MicroBatchStats`.
@@ -98,57 +99,60 @@ class MicroBatchStats:
         return self.n_requests / self.dispatch_seconds
 
 
-class PendingPrediction:
-    """Handle for a queued prediction; resolves when its batch dispatches."""
+class PendingResult:
+    """A queued request's answer; resolves when its batch dispatches.
 
-    __slots__ = ("_batcher", "_label")
+    ``result()`` forces the dispatch if the batch is still open, and
+    re-raises the exception of a failed dispatch.
+    """
 
-    def __init__(self, batcher: "MicroBatcher") -> None:
-        self._batcher = batcher
-        self._label: int | None = None
+    __slots__ = ("_flush", "_value", "_error")
+
+    def __init__(self, flush: Callable[[], int]) -> None:
+        self._flush = flush
+        self._value = None
+        self._error: BaseException | None = None
 
     @property
     def done(self) -> bool:
-        return self._label is not None
+        return self._value is not None or self._error is not None
 
-    def result(self) -> int:
-        """The predicted label; forces a flush if the batch is still open."""
-        if self._label is None:
-            self._batcher.flush()
-        assert self._label is not None  # flush resolves every queued handle
-        return self._label
+    def result(self):
+        if not self.done:
+            self._flush()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
-class PendingUnlearn:
+class PendingPrediction(PendingResult):
+    """Handle for a queued prediction; resolves to the predicted label."""
+
+    __slots__ = ()
+
+
+class PendingUnlearn(PendingResult):
     """Handle for a queued deletion; resolves when its batch group-commits.
 
     Every member of one coalesced batch shares the batch's
-    :class:`AuditEntry` (one audited operation, ``n_records`` members).
+    :class:`~repro.serving.audit.AuditEntry` (one audited operation,
+    ``n_records`` members).
     """
 
-    __slots__ = ("_batcher", "_entry")
+    __slots__ = ()
 
-    def __init__(self, batcher: "MicroBatcher") -> None:
-        self._batcher = batcher
-        self._entry: AuditEntry | None = None
 
-    @property
-    def done(self) -> bool:
-        return self._entry is not None
-
-    def result(self) -> AuditEntry:
-        """The batch's audit entry; forces a flush if still queued."""
-        if self._entry is None:
-            self._batcher.flush_unlearns()
-        assert self._entry is not None  # flush resolves every queued handle
-        return self._entry
+def fail_handles(handles: Sequence[PendingResult], error: BaseException) -> None:
+    """Resolve every handle of a failed dispatch with its exception."""
+    for handle in handles:
+        handle._error = error
 
 
 class MicroBatcher:
     """Collects prediction requests and dispatches them in packed batches.
 
     Args:
-        engine: the replicated engine answering the batches.
+        engine: the serving engine answering the batches.
         config: batching policy (size and delay bounds).
         clock: monotonic time source in seconds; tests inject a fake one
             to exercise the delay window without sleeping.
@@ -196,7 +200,7 @@ class MicroBatcher:
         deletion must observe it.
         """
         self.flush_unlearns()
-        handle = PendingPrediction(self)
+        handle = PendingPrediction(self.flush)
         self._rows.append(self._as_row(record))
         self._handles.append(handle)
         if self._oldest is None:
@@ -218,8 +222,8 @@ class MicroBatcher:
 
         The synchronous, non-coalescing path (answer before returning).
         Flushing first pins the ordering: predictions submitted before the
-        deletion are answered by pre-deletion state on some replica, never
-        by post-deletion state, and earlier queued deletions land first.
+        deletion are answered by pre-deletion state, never by
+        post-deletion state, and earlier queued deletions land first.
         """
         self.flush()
         self.flush_unlearns()
@@ -242,7 +246,7 @@ class MicroBatcher:
         self.flush()
         if self._unlearn_records and allow_budget_overrun != self._unlearn_overrun:
             self.flush_unlearns()
-        handle = PendingUnlearn(self)
+        handle = PendingUnlearn(self.flush_unlearns)
         self._unlearn_records.append(record)
         self._unlearn_ids.append(request_id)
         self._unlearn_handles.append(handle)
@@ -271,14 +275,18 @@ class MicroBatcher:
         self._unlearn_handles = []
         self._unlearn_oldest = None
 
-        entry = self.engine.unlearn_batch(
-            ids[0] if len(ids) == 1 else f"{ids[0]}+{len(ids) - 1}",
-            records,
-            allow_budget_overrun=overrun,
-            record_request_ids=ids,
-        )
+        try:
+            entry = self.engine.unlearn_batch(
+                ids[0] if len(ids) == 1 else f"{ids[0]}+{len(ids) - 1}",
+                records,
+                allow_budget_overrun=overrun,
+                record_request_ids=ids,
+            )
+        except BaseException as error:
+            fail_handles(handles, error)
+            raise
         for handle in handles:
-            handle._entry = entry
+            handle._value = entry
         self.stats.n_unlearn_requests += len(handles)
         self.stats.n_unlearn_batches += 1
         self.stats.flush_reasons[reason] += 1
@@ -286,18 +294,23 @@ class MicroBatcher:
         return len(handles)
 
     def _dispatch(self, reason: str) -> int:
-        matrix = np.asarray(self._rows, dtype=np.int64)
+        rows = self._rows
         handles = self._handles
         self._rows = []
         self._handles = []
         self._oldest = None
 
-        started = self._clock()
-        labels = self.engine.predict_rows(matrix)
+        try:
+            matrix = np.asarray(rows, dtype=np.int64)
+            started = self._clock()
+            labels = self.engine.predict_rows(matrix)
+        except BaseException as error:
+            fail_handles(handles, error)
+            raise
         elapsed = self._clock() - started
 
         for handle, label in zip(handles, labels):
-            handle._label = int(label)
+            handle._value = int(label)
         self.stats.n_requests += len(handles)
         self.stats.n_batches += 1
         self.stats.dispatch_seconds += elapsed

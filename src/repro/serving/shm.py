@@ -1,10 +1,10 @@
 """Zero-copy shared-memory replica fleet: multi-core serving from one pack.
 
-:class:`~repro.serving.engine.ReplicatedServingEngine` scales reads by
-deep-copying the model per replica inside one GIL-bound process -- ``N``
-replicas cost ``N``x memory and zero extra cores. This module replaces the
-copies with **one** :class:`~repro.core.packed.PackedEnsemble` living in
-named ``multiprocessing.shared_memory`` segments, served by ``N`` reader
+:class:`~repro.serving.engine.ReplicatedServingEngine` answers every read
+from its one model inside one GIL-bound process. This module scales reads
+across cores instead, without copying the model: **one**
+:class:`~repro.core.packed.PackedEnsemble` lives in named
+``multiprocessing.shared_memory`` segments, served by ``N`` reader
 *processes* that attach read-only and run the exact same traversal kernel
 (:mod:`repro.core.packed` module functions) over the mapped arrays --
 bit-identical predictions, true multi-core parallelism, one copy of the
@@ -912,7 +912,7 @@ class ShmReplicatedServingEngine:
         """Per-reader lag: durable deletions not yet published to the fleet.
 
         Readers share one published header, so every entry is the same
-        number; the list shape matches ``ReplicatedServingEngine``.
+        number; the list has one entry per reader.
         """
         lag = self.durable_seq - self._published_seq
         return [lag] * self.n_readers

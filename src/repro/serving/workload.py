@@ -1,11 +1,13 @@
 """Mixed predict/delete workload generation for serving experiments.
 
-The plain :class:`~repro.serving.simulator.RequestMix` spreads deletion
-requests uniformly over a run. Real GDPR traffic does not look like that:
-deletions arrive in **storms** (a breach notice, a press cycle, a
-right-to-be-forgotten campaign) and the number of records a single user
-deletes is **heavy-tailed** (most users own a handful of records, a few
-own thousands). This module generates such schedules:
+:func:`uniform_workload` spreads single-record deletion requests uniformly
+over a run: the paper's Table 2 mix (:class:`RequestMix`), which replaces
+randomly chosen prediction requests with deletions. Real GDPR traffic does
+not look like that: deletions arrive in **storms** (a breach notice, a
+press cycle, a right-to-be-forgotten campaign) and the number of records a
+single user deletes is **heavy-tailed** (most users own a handful of
+records, a few own thousands). :func:`generate_workload` generates such
+schedules:
 
 * the run is mostly predictions at a base deletion rate;
 * ``n_storms`` windows are marked in which the deletion probability jumps
@@ -15,8 +17,9 @@ own thousands). This module generates such schedules:
   ``user_size_shape``; smaller = heavier tail), capped by
   ``max_user_size`` and by the records still deletable.
 
-The schedule is a plain event list, so any simulator (sharded or not) can
-replay it deterministically from a seed.
+Both schedules are plain event lists that
+:class:`~repro.serving.simulator.ServingSimulator` replays; each is
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class RequestMix:
+    """The uniform workload of the paper's Table 2.
+
+    Attributes:
+        n_requests: total number of requests issued.
+        unlearn_fraction: fraction of requests replaced by unlearning
+            requests (the paper mixes in deletion requests for 0.1% of the
+            training records by replacing randomly selected prediction
+            requests, Section 6.2.2).
+    """
+
+    n_requests: int
+    unlearn_fraction: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_requests < 1:
+            raise ValueError("n_requests must be positive")
+        if not 0.0 <= self.unlearn_fraction < 1.0:
+            raise ValueError("unlearn_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -160,3 +185,39 @@ def generate_workload(
         else:
             events.append(WorkloadEvent(kind="predict", row=int(prediction_rows[slot])))
     return Workload(events=events, storm_windows=storm_windows)
+
+
+def uniform_workload(
+    mix: RequestMix,
+    n_prediction_rows: int,
+    n_deletable: int,
+    seed: int | None = None,
+) -> Workload:
+    """Replace randomly chosen prediction slots by single-record deletions.
+
+    The deletion count is ``round(n_requests * unlearn_fraction)`` (banker's
+    rounding), but whenever ``unlearn_fraction > 0`` at least one deletion
+    is scheduled -- small workloads must not silently degenerate into
+    prediction-only runs (``n_requests=2, unlearn_fraction=0.2`` would
+    otherwise round to zero). The count is then capped by ``n_deletable``,
+    the records available for deletion.
+    """
+    if n_prediction_rows < 1:
+        raise ValueError("n_prediction_rows must be positive")
+    rng = np.random.default_rng(seed)
+    n_scheduled = int(round(mix.n_requests * mix.unlearn_fraction))
+    if mix.unlearn_fraction > 0.0:
+        n_scheduled = max(1, n_scheduled)
+    n_unlearn = min(n_scheduled, n_deletable)
+    unlearn_slots = set(
+        rng.choice(mix.n_requests, size=n_unlearn, replace=False).tolist()
+    )
+    prediction_rows = rng.integers(0, n_prediction_rows, size=mix.n_requests)
+    return Workload(
+        events=[
+            WorkloadEvent(kind="unlearn", size=1)
+            if slot in unlearn_slots
+            else WorkloadEvent(kind="predict", row=int(prediction_rows[slot]))
+            for slot in range(mix.n_requests)
+        ]
+    )

@@ -23,7 +23,6 @@ from repro.sharding.microbatch import (
 from repro.sharding.model import ShardedHedgeCut
 from repro.sharding.partitioner import HashPartitioner, PartitionStats
 from repro.sharding.service import ShardedServingEngine
-from repro.sharding.simulator import ShardedRunReport, ShardedServingSimulator
 from repro.sharding.store import RecoveredShardedModel, ShardedModelStore
 
 __all__ = [
@@ -41,7 +40,5 @@ __all__ = [
     "ShardedMicroBatchStats",
     "ShardedMicroBatcher",
     "ShardedModelStore",
-    "ShardedRunReport",
     "ShardedServingEngine",
-    "ShardedServingSimulator",
 ]

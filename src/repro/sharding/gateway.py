@@ -259,20 +259,18 @@ class AsyncShardedGateway:
             self.batcher.flush_unlearns()
             self.batcher.flush()
         except Exception as error:
-            # A dispatch failure poisons the whole pass; report it to every
-            # caller that has not resolved yet rather than hanging them.
+            # A dispatch failure poisons the whole pass: requests whose
+            # batch never dispatched get its error rather than hanging.
             for request, handle in pairs:
                 if not request.future.done() and not handle.done:
                     request.future.set_exception(error)
         for request, handle in pairs:
             if request.future.done():
                 continue
-            if handle.done:
+            try:
                 request.future.set_result(handle.result())
-            else:  # pragma: no cover - defensive: flush failed before handle
-                request.future.set_exception(
-                    HedgeCutError("request was dropped by a failed dispatch")
-                )
+            except Exception as error:  # the handle's own batch failed
+                request.future.set_exception(error)
         self.stats.n_dispatched += len(pairs)
         self.stats.n_passes += 1
 

@@ -28,6 +28,11 @@ Deletions for the same shard coalesce into one group-committed WAL frame
 and one batch-kernel pass on that shard (a GDPR deletion storm against one
 user's shard costs one fsync), exactly like the unsharded batcher's
 deletion window but scoped per shard.
+
+Failures resolve handles instead of stranding them: a packed call that
+raises on any shard fails the whole prediction window, and a failed
+group commit fails its shard's deletion window. The triggering call
+re-raises, and so does ``result()`` on every handle of the failed window.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from repro.serving.microbatch import (
     FLUSH_FULL,
     FLUSH_WINDOW,
     MicroBatchConfig,
+    PendingResult,
+    fail_handles,
 )
 from repro.sharding.service import ShardedServingEngine
 
@@ -88,23 +95,17 @@ class ShardedMicroBatchStats:
         return self.n_requests / self.dispatch_seconds
 
 
-class PendingShardedPrediction:
+class PendingShardedPrediction(PendingResult):
     """Handle for a queued prediction; resolves once every shard contributed."""
 
-    __slots__ = ("_batcher", "_proba_mode", "_votes", "_proba", "_n_contributed",
-                 "_result")
+    __slots__ = ("_proba_mode", "_votes", "_proba", "_n_contributed")
 
     def __init__(self, batcher: "ShardedMicroBatcher", proba_mode: bool) -> None:
-        self._batcher = batcher
+        super().__init__(batcher.flush)
         self._proba_mode = proba_mode
         self._votes = 0
         self._proba = 0.0
         self._n_contributed = 0
-        self._result: int | float | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
 
     def _contribute(self, votes: int | None, proba: float | None) -> None:
         if votes is not None:
@@ -116,42 +117,26 @@ class PendingShardedPrediction:
     def _resolve(self, n_shards: int, n_trees: int) -> None:
         assert self._n_contributed == n_shards
         if self._proba_mode:
-            self._result = self._proba / n_shards
+            self._value = self._proba / n_shards
         else:
-            self._result = 1 if 2 * self._votes > n_trees else 0
-
-    def result(self) -> int | float:
-        """The aggregated answer; forces a flush if still queued."""
-        if self._result is None:
-            self._batcher.flush()
-        assert self._result is not None
-        return self._result
+            self._value = 1 if 2 * self._votes > n_trees else 0
 
 
-class PendingShardUnlearn:
-    """Handle for a deletion queued in its owning shard's window."""
+class PendingShardUnlearn(PendingResult):
+    """Handle for a deletion queued in its owning shard's window.
 
-    __slots__ = ("_batcher", "_shard", "_entry")
+    ``result()`` forces only that shard's group commit.
+    """
+
+    __slots__ = ("_shard",)
 
     def __init__(self, batcher: "ShardedMicroBatcher", shard: int) -> None:
-        self._batcher = batcher
+        super().__init__(lambda: batcher.flush_unlearns(shard))
         self._shard = shard
-        self._entry: AuditEntry | None = None
 
     @property
     def shard_id(self) -> int:
         return self._shard
-
-    @property
-    def done(self) -> bool:
-        return self._entry is not None
-
-    def result(self) -> AuditEntry:
-        """The shard batch's audit entry; forces that shard's flush."""
-        if self._entry is None:
-            self._batcher.flush_unlearns(self._shard)
-        assert self._entry is not None
-        return self._entry
 
 
 class _ShardUnlearnWindow:
@@ -272,20 +257,26 @@ class ShardedMicroBatcher:
             index for index, handle in enumerate(pending) if handle._proba_mode
         ]
         started = self._clock()
-        if label_positions:
-            matrix = np.asarray(
-                [rows[index] for index in label_positions], dtype=np.int64
-            )
-            votes = engine.predict_votes_rows(matrix)
-            for index, vote in zip(label_positions, votes):
-                pending[index]._contribute(int(vote), None)
-        if proba_positions:
-            matrix = np.asarray(
-                [rows[index] for index in proba_positions], dtype=np.int64
-            )
-            probas = engine.predict_proba_rows(matrix)
-            for index, proba in zip(proba_positions, probas):
-                pending[index]._contribute(None, float(proba))
+        try:
+            if label_positions:
+                matrix = np.asarray(
+                    [rows[index] for index in label_positions], dtype=np.int64
+                )
+                votes = engine.predict_votes_rows(matrix)
+                for index, vote in zip(label_positions, votes):
+                    pending[index]._contribute(int(vote), None)
+            if proba_positions:
+                matrix = np.asarray(
+                    [rows[index] for index in proba_positions], dtype=np.int64
+                )
+                probas = engine.predict_proba_rows(matrix)
+                for index, proba in zip(proba_positions, probas):
+                    pending[index]._contribute(None, float(proba))
+        except BaseException as error:
+            # A window is answered by every shard or by none.
+            fail_handles(self._handles, error)
+            self._reset_window()
+            raise
         self.stats.dispatch_seconds += self._clock() - started
         self._done_upto[shard] = len(self._rows)
         return len(pending)
@@ -299,15 +290,18 @@ class ShardedMicroBatcher:
         for handle in handles:
             handle._resolve(n_shards, n_trees)
         size = len(handles)
-        self._rows = []
-        self._handles = []
-        self._oldest = None
-        self._done_upto = [0] * n_shards
+        self._reset_window()
         self.stats.n_requests += size
         self.stats.n_batches += 1
         self.stats.flush_reasons[reason] += 1
         self.stats.batch_sizes.append(size)
         return size
+
+    def _reset_window(self) -> None:
+        self._rows = []
+        self._handles = []
+        self._oldest = None
+        self._done_upto = [0] * self.engine.n_shards
 
     # ------------------------------------------------------------------ #
     # deletions
@@ -386,14 +380,18 @@ class ShardedMicroBatcher:
         overrun = window.overrun
         self._unlearn_windows[shard] = _ShardUnlearnWindow()
 
-        entry = self.engine.engines[shard].unlearn_batch(
-            ids[0] if len(ids) == 1 else f"{ids[0]}+{len(ids) - 1}",
-            records,
-            allow_budget_overrun=overrun,
-            record_request_ids=ids,
-        )
+        try:
+            entry = self.engine.engines[shard].unlearn_batch(
+                ids[0] if len(ids) == 1 else f"{ids[0]}+{len(ids) - 1}",
+                records,
+                allow_budget_overrun=overrun,
+                record_request_ids=ids,
+            )
+        except BaseException as error:
+            fail_handles(handles, error)
+            raise
         for handle in handles:
-            handle._entry = entry
+            handle._value = entry
         self.stats.n_unlearn_requests += len(handles)
         self.stats.n_unlearn_batches += 1
         self.stats.flush_reasons[reason] += 1

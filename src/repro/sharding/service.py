@@ -1,16 +1,17 @@
-"""Durable sharded serving: one replicated engine per shard.
+"""Durable sharded serving: one serving engine per shard.
 
-:class:`ShardedServingEngine` composes one
-:class:`~repro.serving.engine.ReplicatedServingEngine` per shard (each with
-its own replicas, consistency mode, WAL namespace and snapshot lineage)
+:class:`ShardedServingEngine` composes one serving engine per shard -- an
+in-process :class:`~repro.serving.engine.ReplicatedServingEngine` or a
+shared-memory :class:`~repro.serving.shm.ShmReplicatedServingEngine`, each
+with its own consistency mode, WAL namespace and snapshot lineage --
 behind the aggregated prediction interface of
 :class:`~repro.sharding.model.ShardedHedgeCut`:
 
-* prediction micro-batches fan out to every shard engine (each routes to
-  its next replica) and the per-shard vote counts / probability means are
-  aggregated exactly as in the sharded model;
+* prediction micro-batches fan out to every shard engine and the
+  per-shard vote counts / probability means are aggregated exactly as in
+  the sharded model;
 * deletion requests route to **exactly one** shard engine, which sequences
-  them through *its* WAL before touching *its* replicas -- shard WALs need
+  them through *its* WAL before touching *its* model -- shard WALs need
   no cross-shard coordination because a record's owning shard is a pure
   content hash;
 * audit entries and WAL frames are tagged with the owning shard id, so a
@@ -38,20 +39,21 @@ from repro.sharding.store import ShardedModelStore
 
 
 class ShardedServingEngine:
-    """Durable multi-shard, multi-replica serving.
+    """Durable multi-shard serving.
 
     Args:
         model: the fitted sharded model; its sub-ensembles become the
-            primary replicas of the per-shard engines.
+            primary models of the per-shard engines.
         store: sharded store providing one WAL + snapshot namespace per
             shard; its manifest must agree with the model's partitioner.
-        n_replicas: replicas per shard (including the primary). Under
-            ``serving="shm"`` this is the shard's reader-process count.
+        n_replicas: under ``serving="shm"``, the shard's reader-process
+            count; ``serving="inprocess"`` serves each shard from its one
+            model and accepts only 1.
         consistency: read-consistency mode of every shard engine, see
             :data:`~repro.serving.engine.CONSISTENCY_MODES`.
         applied_seqs: per-shard WAL sequence numbers already reflected in
             the model (non-zero when resuming from recovery).
-        serving: ``"inprocess"`` (deep-copied replicas inside this
+        serving: ``"inprocess"`` (each shard's model answers in this
             process, the default) or ``"shm"`` (one
             :class:`~repro.serving.shm.ShmReplicatedServingEngine` per
             shard: the shard's pack lives in its own shared-memory
@@ -86,6 +88,11 @@ class ShardedServingEngine:
             raise ValueError(
                 f"serving must be one of {self.SERVING_MODES}, got {serving!r}"
             )
+        if serving == "inprocess" and n_replicas != 1:
+            raise ValueError(
+                f'serving="inprocess" serves one model per shard, got '
+                f'n_replicas={n_replicas}; use serving="shm" for several readers'
+            )
         self.model = model
         self.store = store
         self.serving = serving
@@ -110,7 +117,6 @@ class ShardedServingEngine:
                 ReplicatedServingEngine(
                     model=shard_model,
                     store=shard_store,
-                    n_replicas=n_replicas,
                     consistency=consistency,
                     applied_seq=applied_seqs[shard_id] if applied_seqs else None,
                     shard_id=shard_id,
@@ -157,15 +163,6 @@ class ShardedServingEngine:
 
     def owning_shard(self, record: Record) -> int:
         return self.model.owning_shard(record)
-
-    def staleness(self) -> list[list[int]]:
-        """Per-shard, per-replica lag behind the shard's durable tail."""
-        return [engine.staleness() for engine in self.engines]
-
-    def sync(self) -> None:
-        """Catch every replica of every shard up to its durable tail."""
-        for engine in self.engines:
-            engine.sync()
 
     # ------------------------------------------------------------------ #
     # aggregated serving
@@ -215,7 +212,7 @@ class ShardedServingEngine:
         """Serve one deletion durably through its owning shard only.
 
         The owning shard's engine appends to *its* WAL, applies to *its*
-        replicas per the consistency mode, and returns an audit entry
+        model per the consistency mode, and returns an audit entry
         tagged with the shard id. All other shards do no work at all.
         """
         shard = self.owning_shard(record)

@@ -40,3 +40,23 @@ class TestMain:
 
     def test_main_returns_zero(self):
         assert main(["table1"]) == 0
+
+
+class TestServe:
+    def test_inprocess_serve_at_small_scale(self, capsys):
+        """More requests than dataset rows: the deletion pool is sized to
+        the deletions actually scheduled, and none overruns the budget."""
+        exit_code = main(
+            [
+                "serve",
+                "--datasets", "income",
+                "--scale", "0.002",
+                "--trees", "2",
+                "--serving", "inprocess",
+            ]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "serving mode     inprocess (strong)" in output
+        assert "budget-skipped" in output
+        assert "readers" not in output

@@ -7,7 +7,8 @@ from repro.core.ensemble import HedgeCutClassifier
 from repro.datasets.registry import available_datasets, load_dataset_with_preprocessor, load_raw
 from repro.evaluation.metrics import accuracy
 from repro.evaluation.splits import train_test_split
-from repro.serving.simulator import RequestMix, ServingSimulator
+from repro.serving.simulator import ServingSimulator
+from repro.serving.workload import RequestMix, uniform_workload
 
 
 @pytest.mark.parametrize("name", sorted(available_datasets()))
@@ -59,10 +60,17 @@ def test_serving_simulator_throughput_is_stable_under_unlearning():
     model = HedgeCutClassifier(n_trees=3, epsilon=0.05, seed=3)
     model.fit(train)
 
-    pure = ServingSimulator(model, test, seed=0).run(RequestMix(n_requests=300))
+    pure = ServingSimulator(model, test).run(
+        uniform_workload(RequestMix(n_requests=300), test.n_rows, 0, seed=0)
+    )
     pool = [train.record(row) for row in range(model.deletion_budget)]
-    mixed = ServingSimulator(model, test, unlearn_pool=pool, seed=0).run(
-        RequestMix(n_requests=300, unlearn_fraction=0.01)
+    mixed = ServingSimulator(model, test, unlearn_pool=pool).run(
+        uniform_workload(
+            RequestMix(n_requests=300, unlearn_fraction=0.01),
+            test.n_rows,
+            len(pool),
+            seed=0,
+        )
     )
     assert mixed.n_unlearnings >= 1
     # Mixed-in unlearning must not collapse throughput (paper: no

@@ -1,4 +1,4 @@
-"""Tests for the replicated, crash-recoverable serving engine."""
+"""Tests for the crash-recoverable in-process serving engine."""
 
 import copy
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.ensemble import HedgeCutClassifier
 from repro.persistence.store import ModelStore
 from repro.serving.audit import AuditedUnlearner
-from repro.serving.engine import ReplicatedServingEngine
+from repro.serving.engine import CONSISTENCY_MODES, ReplicatedServingEngine
 
 from tests.conftest import make_random_dataset
 
@@ -27,69 +27,53 @@ def _engine(tmp_path, model, **kwargs):
     return ReplicatedServingEngine(model, ModelStore(tmp_path / "store"), **kwargs)
 
 
+def _assert_reads_observe_deletions(tmp_path, model, dataset, consistency):
+    reference = copy.deepcopy(model)
+    engine = _engine(tmp_path, model, consistency=consistency)
+    for row in range(6):
+        entry = engine.unlearn(
+            f"req-{row}", dataset.record(row), allow_budget_overrun=True
+        )
+        assert entry.succeeded
+        reference.unlearn(dataset.record(row), allow_budget_overrun=True)
+        # The one model answers, so the very next read sees the deletion.
+        assert np.array_equal(
+            engine.predict_batch(dataset), reference.predict_batch(dataset)
+        )
+    assert engine.primary.n_unlearned == 6
+
+
 class TestConstruction:
     def test_rejects_bad_arguments(self, tmp_path, model):
-        with pytest.raises(ValueError):
-            _engine(tmp_path, model, n_replicas=0)
+        for n_replicas in (0, 2):
+            with pytest.raises(ValueError, match="ShmReplicatedServingEngine"):
+                _engine(tmp_path, model, n_replicas=n_replicas)
         with pytest.raises(ValueError):
             _engine(tmp_path, model, consistency="quantum")
 
-    def test_replicas_start_in_sync(self, tmp_path, model):
-        engine = _engine(tmp_path, model, n_replicas=3)
-        assert engine.n_replicas == 3
-        assert engine.staleness() == [0, 0, 0]
+    def test_serves_from_one_model(self, tmp_path, model, dataset):
+        for consistency in CONSISTENCY_MODES:
+            engine = _engine(tmp_path, model, consistency=consistency)
+            assert engine.n_replicas == 1
+            assert engine.primary is model
+            record = dataset.record(0)
+            assert engine.predict(record) == model.predict(record)
+            engine.close()
 
 
 class TestStrongConsistency:
     def test_deletions_reach_every_replica(self, tmp_path, model, dataset):
-        reference = copy.deepcopy(model)
-        engine = _engine(tmp_path, model, n_replicas=3, consistency="strong")
-        for row in range(6):
-            entry = engine.unlearn(f"req-{row}", dataset.record(row),
-                                   allow_budget_overrun=True)
-            assert entry.succeeded
-            reference.unlearn(dataset.record(row), allow_budget_overrun=True)
-        assert engine.staleness() == [0, 0, 0]
-        expected = reference.predict_batch(dataset)
-        # Every replica (cycled through by round-robin) answers identically.
-        for _ in range(3):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
-
-    def test_round_robin_cycles_replicas(self, tmp_path, model, dataset):
-        engine = _engine(tmp_path, model, n_replicas=2)
-        record = dataset.record(0)
-        predictions = {engine.predict(record) for _ in range(4)}
-        assert len(predictions) == 1  # replicas agree; cursor still cycles
+        _assert_reads_observe_deletions(tmp_path, model, dataset, "strong")
 
 
 class TestReadYourDeletes:
     def test_reads_observe_acknowledged_deletions(self, tmp_path, model, dataset):
-        reference = copy.deepcopy(model)
-        engine = _engine(
-            tmp_path, model, n_replicas=3, consistency="read_your_deletes"
-        )
-        for row in range(8):
-            engine.unlearn(f"req-{row}", dataset.record(row), allow_budget_overrun=True)
-            reference.unlearn(dataset.record(row), allow_budget_overrun=True)
-        # Secondary replicas are stale until they serve a read.
-        assert engine.staleness()[1:] == [8, 8]
-        expected = reference.predict_batch(dataset)
-        for _ in range(3):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
-        assert engine.staleness() == [0, 0, 0]
+        _assert_reads_observe_deletions(tmp_path, model, dataset, "read_your_deletes")
 
 
 class TestEventualConsistency:
-    def test_staleness_grows_then_sync_catches_up(self, tmp_path, model, dataset):
-        engine = _engine(tmp_path, model, n_replicas=2, consistency="eventual")
-        for row in range(5):
-            engine.unlearn(f"req-{row}", dataset.record(row), allow_budget_overrun=True)
-        assert engine.staleness() == [0, 5]
-        engine.sync()
-        assert engine.staleness() == [0, 0]
-        expected = engine.primary.predict_batch(dataset)
-        for _ in range(2):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
+    def test_reads_are_never_stale(self, tmp_path, model, dataset):
+        _assert_reads_observe_deletions(tmp_path, model, dataset, "eventual")
 
 
 class TestAuditTrail:
@@ -114,9 +98,7 @@ class TestAuditTrail:
         engine.close()
 
         # Restart from durable state only.
-        recovered = ReplicatedServingEngine.recover(
-            ModelStore(tmp_path / "store"), n_replicas=2
-        )
+        recovered = ReplicatedServingEngine.recover(ModelStore(tmp_path / "store"))
         entries = AuditedUnlearner.read_log(tmp_path / "audit.jsonl")
         assert [entry.request_id for entry in entries] == [f"req-{i}" for i in range(4)]
         assert all(entry.succeeded for entry in entries)
@@ -141,7 +123,7 @@ class TestAuditTrail:
 class TestBatchUnlearning:
     def test_batch_reaches_every_replica_atomically(self, tmp_path, model, dataset):
         reference = copy.deepcopy(model)
-        engine = _engine(tmp_path, model, n_replicas=3, consistency="strong")
+        engine = _engine(tmp_path, model, consistency="strong")
         records = [dataset.record(row) for row in range(8)]
         entry = engine.unlearn_batch(
             "req-batch",
@@ -153,12 +135,13 @@ class TestBatchUnlearning:
         assert entry.n_records == 8
         assert entry.log_offset == 1  # the batch's first durable seq
         assert engine.durable_seq == 8
-        assert engine.staleness() == [0, 0, 0]
         _ = reference.packed
         reference.unlearn_batch(records, allow_budget_overrun=True)
+        # The whole batch landed on the primary, exactly as one kernel pass.
+        assert engine.primary.n_unlearned == reference.n_unlearned == 8
         expected = reference.predict_batch(dataset)
-        for _ in range(3):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
+        assert np.array_equal(engine.primary.predict_batch(dataset), expected)
+        assert np.array_equal(engine.predict_batch(dataset), expected)
 
     def test_batch_is_one_wal_frame(self, tmp_path, model, dataset):
         engine = _engine(tmp_path, model)
@@ -171,19 +154,8 @@ class TestBatchUnlearning:
         assert len(frames) == 1  # group commit: one frame for the batch
         assert (frames[0].first_seq, frames[0].last_seq) == (1, 5)
 
-    def test_eventual_batch_staleness_then_sync(self, tmp_path, model, dataset):
-        engine = _engine(tmp_path, model, n_replicas=2, consistency="eventual")
-        records = [dataset.record(row) for row in range(5)]
-        engine.unlearn_batch("req-batch", records, allow_budget_overrun=True)
-        assert engine.staleness() == [0, 5]
-        engine.sync()
-        assert engine.staleness() == [0, 0]
-        expected = engine.primary.predict_batch(dataset)
-        for _ in range(2):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
-
     def test_batch_and_single_offsets_interleave(self, tmp_path, model, dataset):
-        engine = _engine(tmp_path, model, n_replicas=2)
+        engine = _engine(tmp_path, model)
         first = engine.unlearn("req-0", dataset.record(0), allow_budget_overrun=True)
         batch = engine.unlearn_batch(
             "req-batch",
@@ -193,11 +165,10 @@ class TestBatchUnlearning:
         last = engine.unlearn("req-4", dataset.record(4), allow_budget_overrun=True)
         assert (first.log_offset, batch.log_offset, last.log_offset) == (1, 2, 5)
         assert batch.n_records == 3
-        assert engine.staleness() == [0, 0]
 
     def test_recover_after_kill_with_batch_frames(self, tmp_path, model, dataset):
         reference = copy.deepcopy(model)
-        engine = _engine(tmp_path, model, n_replicas=2)
+        engine = _engine(tmp_path, model)
         engine.snapshot()
         engine.unlearn("req-0", dataset.record(0), allow_budget_overrun=True)
         records = [dataset.record(row) for row in range(1, 9)]
@@ -208,10 +179,7 @@ class TestBatchUnlearning:
         _ = reference.packed
         reference.unlearn_batch(records, allow_budget_overrun=True)
 
-        recovered = ReplicatedServingEngine.recover(
-            ModelStore(tmp_path / "store"), n_replicas=2
-        )
-        assert recovered.staleness() == [0, 0]
+        recovered = ReplicatedServingEngine.recover(ModelStore(tmp_path / "store"))
         assert np.array_equal(
             recovered.predict_batch(dataset), reference.predict_batch(dataset)
         )
@@ -220,17 +188,14 @@ class TestBatchUnlearning:
 class TestCrashRecovery:
     def test_recover_after_kill(self, tmp_path, model, dataset):
         reference = copy.deepcopy(model)
-        engine = _engine(tmp_path, model, n_replicas=2)
+        engine = _engine(tmp_path, model)
         engine.snapshot()
         for row in range(7):
             engine.unlearn(f"req-{row}", dataset.record(row), allow_budget_overrun=True)
             reference.unlearn(dataset.record(row), allow_budget_overrun=True)
         engine.close()  # crash: no final snapshot
 
-        recovered = ReplicatedServingEngine.recover(
-            ModelStore(tmp_path / "store"), n_replicas=2
-        )
-        assert recovered.staleness() == [0, 0]
+        recovered = ReplicatedServingEngine.recover(ModelStore(tmp_path / "store"))
         assert np.array_equal(
             recovered.predict_batch(dataset), reference.predict_batch(dataset)
         )

@@ -1,4 +1,4 @@
-"""Tests for the micro-batching front end of the replicated engine."""
+"""Tests for the micro-batching front end of the serving engine."""
 
 import copy
 
@@ -44,7 +44,7 @@ def model(dataset):
 
 @pytest.fixture()
 def engine(tmp_path, model):
-    return ReplicatedServingEngine(model, ModelStore(tmp_path / "store"), n_replicas=2)
+    return ReplicatedServingEngine(model, ModelStore(tmp_path / "store"))
 
 
 def _batcher(engine, max_batch=4, max_delay_ms=5.0, clock=None):
@@ -215,9 +215,7 @@ class TestUnlearnCoalescing:
 
     def test_coalesced_deletions_match_direct_batch(self, tmp_path, model, dataset):
         reference = copy.deepcopy(model)
-        engine = ReplicatedServingEngine(
-            model, ModelStore(tmp_path / "store"), n_replicas=2
-        )
+        engine = ReplicatedServingEngine(model, ModelStore(tmp_path / "store"))
         batcher = _batcher(engine, max_batch=4)
         for row in range(8):
             batcher.submit_unlearn(
@@ -231,15 +229,12 @@ class TestUnlearnCoalescing:
         assert batcher.stats.n_unlearn_requests == 8
         assert batcher.stats.unlearn_batch_sizes == [4, 4]
         expected = reference.predict_batch(dataset)
-        for _ in range(2):
-            assert np.array_equal(engine.predict_batch(dataset), expected)
+        assert np.array_equal(engine.predict_batch(dataset), expected)
 
     def test_interleaved_equals_serial_replay(self, tmp_path, model, dataset):
         """Property: any predict/delete interleaving == serial submission."""
         reference = copy.deepcopy(model)
-        engine = ReplicatedServingEngine(
-            model, ModelStore(tmp_path / "store"), n_replicas=2
-        )
+        engine = ReplicatedServingEngine(model, ModelStore(tmp_path / "store"))
         batcher = _batcher(engine, max_batch=100)
         rng = np.random.default_rng(29)
         serial_answers = []
@@ -278,3 +273,60 @@ class TestStats:
         assert stats.batch_sizes == [4, 4, 2]
         assert stats.mean_batch_size == pytest.approx(10 / 3)
         assert stats.rows_per_second > 0
+
+
+def _raise_os_error(*_args, **_kwargs):
+    raise OSError("disk went away")
+
+
+class TestDispatchFailures:
+    """A failed dispatch resolves every handle of its batch with the error."""
+
+    def test_failed_prediction_dispatch_fails_every_handle(
+        self, engine, dataset, monkeypatch
+    ):
+        batcher = _batcher(engine, max_batch=100)
+        handles = [batcher.submit_predict(dataset.record(row)) for row in range(3)]
+        monkeypatch.setattr(engine, "predict_rows", _raise_os_error)
+        with pytest.raises(OSError, match="disk went away"):
+            batcher.flush()
+        assert batcher.n_queued == 0
+        for handle in handles:
+            assert handle.done
+            with pytest.raises(OSError, match="disk went away"):
+                handle.result()
+        # The batcher keeps serving once the engine recovers.
+        monkeypatch.undo()
+        handle = batcher.submit_predict(dataset.record(0))
+        assert handle.result() == engine.primary.predict(dataset.record(0))
+
+    def test_result_of_a_failed_full_batch_reraises(
+        self, engine, dataset, monkeypatch
+    ):
+        batcher = _batcher(engine, max_batch=2)
+        monkeypatch.setattr(engine, "predict_rows", _raise_os_error)
+        first = batcher.submit_predict(dataset.record(0))
+        with pytest.raises(OSError):
+            batcher.submit_predict(dataset.record(1))  # fills and dispatches
+        with pytest.raises(OSError):
+            first.result()
+
+    def test_failed_unlearn_dispatch_fails_every_handle(
+        self, engine, dataset, monkeypatch
+    ):
+        batcher = _batcher(engine, max_batch=100)
+        handles = [
+            batcher.submit_unlearn(
+                f"req-{row}", dataset.record(row), allow_budget_overrun=True
+            )
+            for row in range(3)
+        ]
+        monkeypatch.setattr(engine, "unlearn_batch", _raise_os_error)
+        with pytest.raises(OSError, match="disk went away"):
+            batcher.flush_unlearns()
+        assert batcher.n_queued_unlearns == 0
+        for handle in handles:
+            assert handle.done
+            with pytest.raises(OSError, match="disk went away"):
+                handle.result()
+        assert batcher.stats.n_unlearn_batches == 0

@@ -1,8 +1,23 @@
-"""Tests for the model-serving simulator."""
+"""Tests for the serving simulator and the uniform Table 2 workload."""
 
+import itertools
+
+import numpy as np
 import pytest
 
-from repro.serving.simulator import RequestMix, ServingSimulator, ThroughputReport
+from repro.persistence.store import ModelStore
+from repro.serving.engine import ReplicatedServingEngine
+from repro.serving.simulator import ServingSimulator, ThroughputReport
+from repro.serving.workload import RequestMix, uniform_workload
+
+
+def _uniform(test, n_requests, unlearn_fraction=0.0, n_deletable=0, seed=0):
+    return uniform_workload(
+        RequestMix(n_requests=n_requests, unlearn_fraction=unlearn_fraction),
+        n_prediction_rows=test.n_rows,
+        n_deletable=n_deletable,
+        seed=seed,
+    )
 
 
 class TestRequestMix:
@@ -32,12 +47,17 @@ class TestThroughputReport:
         with pytest.raises(ValueError):
             report.latency_percentile(99)
 
+    def test_unknown_latency_kind_rejected(self):
+        report = ThroughputReport(1, 1, 1.0, unlearning_latencies_us=[5.0])
+        with pytest.raises(ValueError, match="kind must be one of"):
+            report.latency_percentile(50, kind="predictions")
+
 
 class TestSimulation:
     def test_pure_prediction_workload(self, fitted_model, income_split):
         _, test = income_split
-        simulator = ServingSimulator(fitted_model, test, seed=0)
-        report = simulator.run(RequestMix(n_requests=200))
+        simulator = ServingSimulator(fitted_model, test)
+        report = simulator.run(_uniform(test, 200))
         assert report.n_predictions == 200
         assert report.n_unlearnings == 0
         assert report.requests_per_second > 0
@@ -46,8 +66,8 @@ class TestSimulation:
         train, test = income_split
         budget = fitted_model.deletion_budget
         pool = [train.record(row) for row in range(budget)]
-        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool, seed=0)
-        report = simulator.run(RequestMix(n_requests=400, unlearn_fraction=0.01))
+        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool)
+        report = simulator.run(_uniform(test, 400, 0.01, len(pool)))
         expected = min(4, budget)
         assert report.n_unlearnings == expected
         assert fitted_model.n_unlearned == expected
@@ -56,14 +76,42 @@ class TestSimulation:
         train, test = income_split
         budget = fitted_model.deletion_budget
         pool = [train.record(row) for row in range(budget + 5)]
-        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool, seed=1)
-        report = simulator.run(RequestMix(n_requests=2000, unlearn_fraction=0.5))
-        assert report.n_unlearnings <= budget
+        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool)
+        report = simulator.run(_uniform(test, 2000, 0.5, len(pool), seed=1))
+        # Deletions past the budget are skipped and counted, never overrun.
+        assert report.n_unlearnings == budget
+        assert report.n_budget_skipped == 5
+        assert fitted_model.n_unlearned == budget
+        assert fitted_model.remaining_deletion_budget == 0
+
+    def test_engine_deletions_never_overrun_the_budget(
+        self, tmp_path, fitted_model, income_split
+    ):
+        train, test = income_split
+        budget = fitted_model.deletion_budget
+        pool = [train.record(row) for row in range(budget + 3)]
+        engine = ReplicatedServingEngine(fitted_model, ModelStore(tmp_path / "store"))
+        request_ids = itertools.count()
+        simulator = ServingSimulator(
+            engine,
+            test,
+            unlearn_pool=pool,
+            unlearn=lambda record: engine.unlearn(f"req-{next(request_ids)}", record),
+            remaining_budget=lambda _record: engine.primary.remaining_deletion_budget,
+            batch_size=16,
+        )
+        report = simulator.run(_uniform(test, 400, 0.5, len(pool), seed=4))
+        engine.close()
+        assert report.n_unlearnings == budget
+        assert report.n_budget_skipped == 3
+        # Only issued deletions reach the WAL, and every one succeeded.
+        assert engine.durable_seq == budget
+        assert all(entry.succeeded for entry in engine.audit_entries)
 
     def test_latency_recording(self, fitted_model, income_split):
         _, test = income_split
-        simulator = ServingSimulator(fitted_model, test, seed=2, record_latencies=True)
-        report = simulator.run(RequestMix(n_requests=50))
+        simulator = ServingSimulator(fitted_model, test, record_latencies=True)
+        report = simulator.run(_uniform(test, 50, seed=2))
         assert len(report.prediction_latencies_us) == 50
         p50 = report.latency_percentile(50)
         p99 = report.latency_percentile(99)
@@ -75,9 +123,9 @@ class TestSimulation:
         """unlearn_fraction > 0 must never round down to zero deletions."""
         train, test = income_split
         pool = [train.record(0)]
-        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool, seed=3)
+        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool)
         # 2 * 0.2 rounds to 0; the documented floor guarantees one request.
-        report = simulator.run(RequestMix(n_requests=2, unlearn_fraction=0.2))
+        report = simulator.run(_uniform(test, 2, 0.2, len(pool), seed=3))
         assert report.n_unlearnings == 1
         assert fitted_model.n_unlearned == 1
 
@@ -86,20 +134,18 @@ class TestSimulation:
     ):
         train, test = income_split
         pool = [train.record(0)]
-        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool, seed=3)
-        report = simulator.run(RequestMix(n_requests=2, unlearn_fraction=0.0))
+        simulator = ServingSimulator(fitted_model, test, unlearn_pool=pool)
+        report = simulator.run(_uniform(test, 2, 0.0, len(pool), seed=3))
         assert report.n_unlearnings == 0
         assert fitted_model.n_unlearned == 0
 
     def test_unlearning_floor_respects_empty_pool(self, fitted_model, income_split):
         _, test = income_split
-        simulator = ServingSimulator(fitted_model, test, unlearn_pool=[], seed=3)
-        report = simulator.run(RequestMix(n_requests=2, unlearn_fraction=0.4))
+        simulator = ServingSimulator(fitted_model, test, unlearn_pool=[])
+        report = simulator.run(_uniform(test, 2, 0.4, 0, seed=3))
         assert report.n_unlearnings == 0
 
     def test_empty_prediction_pool_rejected(self, fitted_model, income_split):
-        import numpy as np
-
         _, test = income_split
         empty = test.take(np.asarray([], dtype=np.int64))
         with pytest.raises(ValueError):
@@ -116,8 +162,8 @@ class TestBatchedSimulation:
 
     def test_pure_prediction_workload_batches(self, fitted_model, income_split):
         _, test = income_split
-        simulator = ServingSimulator(fitted_model, test, seed=0, batch_size=32)
-        report = simulator.run(RequestMix(n_requests=100))
+        simulator = ServingSimulator(fitted_model, test, batch_size=32)
+        report = simulator.run(_uniform(test, 100))
         assert report.n_predictions == 100
         assert report.n_batches == 4  # 32 + 32 + 32 + 4
         assert report.rows_per_second > 0
@@ -127,9 +173,9 @@ class TestBatchedSimulation:
         train, test = income_split
         pool = [train.record(row) for row in range(3)]
         simulator = ServingSimulator(
-            fitted_model, test, unlearn_pool=pool, seed=0, batch_size=1000
+            fitted_model, test, unlearn_pool=pool, batch_size=1000
         )
-        report = simulator.run(RequestMix(n_requests=200, unlearn_fraction=0.01))
+        report = simulator.run(_uniform(test, 200, 0.01, len(pool)))
         assert report.n_unlearnings >= 1
         assert report.n_predictions + report.n_unlearnings == 200
         # Every deletion cuts the open batch, plus the final flush.
@@ -139,8 +185,8 @@ class TestBatchedSimulation:
     def test_batch_latencies_recorded(self, fitted_model, income_split):
         _, test = income_split
         simulator = ServingSimulator(
-            fitted_model, test, seed=0, record_latencies=True, batch_size=16
+            fitted_model, test, record_latencies=True, batch_size=16
         )
-        report = simulator.run(RequestMix(n_requests=64))
+        report = simulator.run(_uniform(test, 64))
         assert len(report.batch_latencies_us) == report.n_batches == 4
         assert report.latency_percentile(50, kind="batch") > 0

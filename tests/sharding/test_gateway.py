@@ -95,6 +95,30 @@ class TestServing:
             engine.predict_proba(probe.values)
         )
 
+    def test_failed_dispatch_surfaces_on_every_caller(
+        self, batcher, engine, income_split, monkeypatch
+    ):
+        _, test = income_split
+        probes = [test.record(row) for row in range(3)]
+
+        def broken(*_args, **_kwargs):
+            raise OSError("shard went away")
+
+        async def drive():
+            async with AsyncShardedGateway(batcher) as gateway:
+                monkeypatch.setattr(engine.engines[0], "predict_votes_rows", broken)
+                failed = await asyncio.gather(
+                    *[gateway.predict("tenant", probe) for probe in probes],
+                    return_exceptions=True,
+                )
+                monkeypatch.undo()
+                answered = await gateway.predict("tenant", probes[0])
+                return failed, answered
+
+        failed, answered = asyncio.run(drive())
+        assert all(isinstance(outcome, OSError) for outcome in failed)
+        assert answered == engine.predict(probes[0].values)
+
     def test_submission_outside_lifecycle_fails(self, batcher, income_split):
         _, test = income_split
         gateway = AsyncShardedGateway(batcher)

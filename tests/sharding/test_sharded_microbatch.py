@@ -198,3 +198,66 @@ class TestMixedWindowCorrectness:
         batcher.flush()
         for handle, position in prediction_handles:
             assert handle.result() == pytest.approx(expected[position])
+
+
+def _raise_os_error(*_args, **_kwargs):
+    raise OSError("shard went away")
+
+
+class TestFailedWindows:
+    """A failure on any shard resolves every handle of its window."""
+
+    def test_one_failing_shard_fails_the_whole_window(
+        self, batcher, engine, income_split, monkeypatch
+    ):
+        _, test = income_split
+        handles = [batcher.submit_predict(test.record(row)) for row in range(4)]
+        handles.append(batcher.submit_predict_proba(test.record(4)))
+        monkeypatch.setattr(engine.engines[2], "predict_votes_rows", _raise_os_error)
+        with pytest.raises(OSError, match="shard went away"):
+            batcher.flush()
+        assert batcher.n_queued == 0
+        for handle in handles:
+            assert handle.done
+            with pytest.raises(OSError, match="shard went away"):
+                handle.result()
+        # A fresh window starts clean once the shard recovers.
+        monkeypatch.undo()
+        handle = batcher.submit_predict(test.record(0))
+        assert handle.result() == engine.predict(test.record(0).values)
+
+    def test_failed_partial_flush_fails_the_whole_window(
+        self, batcher, engine, income_split, monkeypatch
+    ):
+        train, test = income_split
+        handles = [batcher.submit_predict(test.record(row)) for row in range(3)]
+        (record,) = records_for_shard(engine, train, shard=1, count=1)
+        monkeypatch.setattr(engine.engines[1], "predict_votes_rows", _raise_os_error)
+        with pytest.raises(OSError):
+            batcher.submit_unlearn("del-1", record)
+        assert batcher.n_queued == 0
+        assert batcher.n_queued_unlearns() == 0
+        for handle in handles:
+            with pytest.raises(OSError):
+                handle.result()
+
+    def test_failed_group_commit_fails_its_shard_window(
+        self, batcher, engine, income_split, monkeypatch
+    ):
+        train, _ = income_split
+        shard_1 = records_for_shard(engine, train, shard=1, count=2)
+        (other,) = records_for_shard(engine, train, shard=3, count=1)
+        handles = [
+            batcher.submit_unlearn(f"del-{position}", record)
+            for position, record in enumerate(shard_1)
+        ]
+        untouched = batcher.submit_unlearn("del-other", other)
+        monkeypatch.setattr(engine.engines[1], "unlearn_batch", _raise_os_error)
+        with pytest.raises(OSError):
+            batcher.flush_unlearns(1)
+        for handle in handles:
+            assert handle.done
+            with pytest.raises(OSError, match="shard went away"):
+                handle.result()
+        assert not untouched.done
+        assert untouched.result().succeeded

@@ -74,6 +74,14 @@ class TestShardedServingEngine:
         finally:
             store.close()
 
+    def test_inprocess_serving_rejects_several_replicas(self, sharded_model, tmp_path):
+        store = ShardedModelStore(tmp_path / "s", n_shards=4)
+        try:
+            with pytest.raises(ValueError, match='serving="shm"'):
+                ShardedServingEngine(sharded_model, store, n_replicas=2)
+        finally:
+            store.close()
+
     def test_unlearn_routes_and_tags_audit_entry(self, service, income_split):
         train, _ = income_split
         record = train.record(3)
